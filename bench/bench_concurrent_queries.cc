@@ -88,8 +88,9 @@ int main(int argc, char** argv) {
   CacheOptions cache_options;
   const size_t cache_cubes =
       static_cast<size_t>(env.config.GetInt("cache_slots", 128));
-  cache_options.byte_budget =
-      CacheOptions::BytesForCubes(cache_cubes, env.schema);
+  // Sized by the index's average stored cube: a dense worst-case budget
+  // would hold the whole quick index and leave no device I/O to scale.
+  cache_options.byte_budget = BudgetForAverageCubes(*index, cache_cubes);
   cache_options.policy = CachePolicy::kRasedRecency;
   CubeCache cache(cache_options);
   Status warm = cache.Warm(index.get());

@@ -212,13 +212,17 @@ int64_t WarmMakespan(TemporalIndex* index, const WorldMap& world,
   CubeCache cache(cache_options);
   QueryExecutor executor(index, &cache, &world);
   CatalogSnapshot snapshot = index->Snapshot();
+  // Cubes are held dense, as CubeCache::Warm holds them when the budget
+  // has room to widen.
   for (const AnalysisQuery& q : queries) {
     for (const CubeKey& key : executor.PlanFor(q).cubes) {
-      if (cache.Contains(key)) continue;
+      const PageId page = snapshot.PageOf(key).value_or(kInvalidPageId);
+      if (cache.Contains(key, page)) continue;
       auto cube = index->ReadCube(key);
       RASED_CHECK(cube.ok()) << cube.status().ToString();
-      cache.Insert(key, snapshot.PageOf(key).value_or(kInvalidPageId),
-                   std::move(cube).value());
+      cache.Insert(key, page,
+                   EncodedCube::Encode(cube.value(),
+                                       CubeEncodingPolicy::kForceDense));
     }
   }
   int64_t best = 0;

@@ -240,7 +240,8 @@ int main(int argc, char** argv) {
   cache_options.byte_budget = uint64_t{1} << 40;  // effectively unbounded
   CubeCache cache(cache_options);
   // Insert with each cube's page from a pinned snapshot so the executor's
-  // page-validated probes hit (a page-less insert would never validate).
+  // page-validated probes hit, held dense as CubeCache::Warm holds cubes
+  // when the budget has room to widen.
   CatalogSnapshot warm_snapshot = index->Snapshot();
   for (const AnalysisQuery& q : queries) {
     for (const CubeKey& key : executor.PlanFor(q).cubes) {
@@ -248,7 +249,8 @@ int main(int argc, char** argv) {
       auto cube = index->ReadCube(key);
       RASED_CHECK(cube.ok());
       cache.Insert(key, warm_snapshot.PageOf(key).value_or(kInvalidPageId),
-                   DataCube(cube.value()));
+                   EncodedCube::Encode(cube.value(),
+                                       CubeEncodingPolicy::kForceDense));
       resident.emplace(key, std::move(cube).value());
     }
   }

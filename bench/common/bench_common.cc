@@ -1,5 +1,6 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -78,6 +79,15 @@ std::unique_ptr<TemporalIndex> OpenOrBuildIndex(const BenchEnv& env,
                watch.ElapsedSeconds(),
                index.value()->StorageStats().total_cubes);
   return std::move(index).value();
+}
+
+uint64_t BudgetForAverageCubes(const TemporalIndex& index, size_t cubes) {
+  const IndexStorageStats storage = index.StorageStats();
+  const uint64_t avg_encoded =
+      storage.total_cubes > 0
+          ? std::max<uint64_t>(1, storage.encoded_bytes / storage.total_cubes)
+          : index.options().schema.cube_bytes();
+  return cubes * avg_encoded;
 }
 
 std::unique_ptr<BaselineDbms> OpenOrBuildDbms(const BenchEnv& env,

@@ -60,6 +60,12 @@ struct BenchEnv {
 std::unique_ptr<TemporalIndex> OpenOrBuildIndex(const BenchEnv& env,
                                                 int num_levels);
 
+/// Cache budget for about `cubes` cubes of `index`'s average stored size.
+/// CacheOptions::BytesForCubes reserves the dense worst case per cube, so
+/// on an adaptively encoded index it can hold far more than `cubes` cubes;
+/// benches that need real device I/O size their partial caches here.
+uint64_t BudgetForAverageCubes(const TemporalIndex& index, size_t cubes);
+
 /// Opens (building on first use) the baseline DBMS heap loaded with the
 /// record-path synthetic stream for the same period.
 std::unique_ptr<BaselineDbms> OpenOrBuildDbms(const BenchEnv& env,

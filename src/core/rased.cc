@@ -269,15 +269,15 @@ Status Rased::ApplyMonthlyArtifacts(Date month_start,
   RASED_RETURN_IF_ERROR(index_->RebuildMonth(month_start, cubes));
 
   // The rebuild published a new catalog version with fresh pages for this
-  // month and its month/year ancestors. Cache entries for the replaced
-  // cubes are page-validated, so they can no longer serve post-publication
-  // snapshots (and correctly keep serving readers still pinned to the old
-  // version); evicting them just reclaims the slots promptly. The
-  // containing year's range covers every affected ancestor.
-  // Statically-warmed policies are refilled against the new version
-  // (another offline cost) — readers keep querying throughout.
-  cache_->InvalidateRange(
-      DateRange(month_start.year_start(), month_start.year_end()));
+  // month's days, the weeks overlapping it, the month and its year — every
+  // cube whose window overlaps the month. Cache entries for them are
+  // page-validated, so they can no longer serve post-publication snapshots
+  // (and correctly keep serving readers still pinned to the old version);
+  // evicting them reclaims their bytes promptly. A warmed static cache is
+  // then reconciled against the new version, which reads back only what
+  // the eviction and the shifted selection left missing — readers keep
+  // querying throughout.
+  cache_->InvalidateRange(month);
   if (cache_->options().policy != CachePolicy::kLru &&
       cache_->stats().preloaded > 0) {
     RASED_RETURN_IF_ERROR(WarmCacheLocked());
@@ -295,10 +295,7 @@ Status Rased::WarmCacheLocked() {
   // concurrent queries keep running against their own snapshots the whole
   // time (their page-validated probes simply miss entries the warm pass
   // hasn't refilled yet).
-  RASED_RETURN_IF_ERROR(cache_->Warm(index_.get()));
-  // Warm-up reads are offline cost; keep query-time I/O accounting clean.
-  index_->pager()->ResetStats();
-  return Status::OK();
+  return cache_->Warm(index_.get());
 }
 
 Result<QueryResult> Rased::Query(const AnalysisQuery& query) const {

@@ -130,11 +130,12 @@ class Rased {
                                std::string_view changesets_xml)
       RASED_EXCLUDES(ingest_mu_);
 
-  /// Preloads the cube cache per the configured policy against the
-  /// currently published catalog version. Serialized with ingest (so the
-  /// warmed epoch is well defined) but never blocks queries: readers keep
-  /// hitting the cache — page-validated against their own snapshots —
-  /// while the warm pass refills it.
+  /// Reconciles the cube cache with the configured policy's selection for
+  /// the currently published catalog version (CubeCache::Warm). Serialized
+  /// with ingest (so the warmed epoch is well defined) but never blocks
+  /// queries: readers keep hitting the cache — page-validated against
+  /// their own snapshots — while the warm pass refills it. Its reads are
+  /// charged to the index pager like any other.
   Status WarmCache() RASED_EXCLUDES(ingest_mu_);
 
   // ---- queries (Section IV) ----

@@ -178,15 +178,32 @@ Status AccumulateDelta(const CubeSchema& schema, const unsigned char* body,
                        uint64_t* acc) {
   const unsigned char* p = body;
   const unsigned char* end = body + body_bytes;
-  const uint64_t num_cells = schema.num_cells();
   uint64_t cell = 0;  // running value; deltas accumulate mod 2^64
-  for (uint64_t idx = 0; idx < num_cells; ++idx) {
-    uint64_t z = 0;
-    RASED_RETURN_IF_ERROR(GetVarint(&p, end, &z));
-    cell += ZigzagDecode(z);
-    if (cell != 0) {
-      AccumulateCell(luts, idx, cell, schema.num_update_types,
-                     schema.num_road_types, schema.num_countries, acc);
+  // Every cell is present in cell order (update_type innermost), so the
+  // coordinates are walked by nested loops rather than divided out of
+  // each index, and a filtered-out prefix costs only its varint decode.
+  for (uint32_t et = 0; et < schema.num_element_types; ++et) {
+    for (uint32_t co = 0; co < schema.num_countries; ++co) {
+      const int64_t g_ec = (luts.et[et] | luts.co[co]) < 0
+                               ? SliceLuts::kExcludedSlot
+                               : luts.et[et] + luts.co[co];
+      for (uint32_t rt = 0; rt < schema.num_road_types; ++rt) {
+        const int64_t g_ecr = (g_ec | luts.rt[rt]) < 0
+                                  ? SliceLuts::kExcludedSlot
+                                  : g_ec + luts.rt[rt];
+        for (uint32_t ut = 0; ut < schema.num_update_types; ++ut) {
+          uint64_t z = 0;
+          if (p != end && *p < 0x80) {
+            z = *p++;  // one-byte varint: the common small delta
+          } else {
+            RASED_RETURN_IF_ERROR(GetVarint(&p, end, &z));
+          }
+          cell += ZigzagDecode(z);
+          // Zero cells add nothing; testing for them would only add a
+          // data-dependent branch.
+          if ((g_ecr | luts.ut[ut]) >= 0) acc[g_ecr + luts.ut[ut]] += cell;
+        }
+      }
     }
   }
   if (p != end) {
@@ -348,6 +365,23 @@ EncodedCube EncodedCube::Encode(const DataCube& cube,
   return out;
 }
 
+EncodedCube::EncodedCube(const CubeSchema& schema, CubeEncoding encoding,
+                         const unsigned char* body, size_t body_bytes)
+    : schema_(schema),
+      encoding_(encoding),
+      words_((body_bytes + 7) / 8, 0),
+      body_bytes_(body_bytes) {
+  std::memcpy(words_.data(), body, body_bytes);
+}
+
+Result<EncodedCube> EncodedCube::Widened() const {
+  RASED_ASSIGN_OR_RETURN(DataCube cube, Decode());
+  const auto* cells =
+      reinterpret_cast<const unsigned char*>(cube.cells().data());
+  return EncodedCube(schema_, CubeEncoding::kDenseRaw, cells,
+                     schema_.cube_bytes());
+}
+
 void EncodedCube::SerializeTo(unsigned char* out) const {
   CubeBlobHeader header;
   header.encoding = encoding_;
@@ -383,8 +417,7 @@ Status EncodedCubeBatch::BindEncoded(size_t i, size_t blob_offset,
     return Status::Corruption("cube blob encoding disagrees with catalog");
   }
   slots_[i] = Slot{blob_offset + CubeBlobHeader::kBytes,
-                   static_cast<size_t>(header.body_bytes), header.encoding,
-                   /*bound=*/true};
+                   static_cast<size_t>(header.body_bytes), header.encoding};
   return Status::OK();
 }
 
@@ -396,30 +429,8 @@ Status EncodedCubeBatch::BindLegacyDense(size_t i, size_t offset) {
   if (offset > arena_bytes_ || dense_bytes > arena_bytes_ - offset) {
     return Status::Corruption("legacy cube exceeds its page run");
   }
-  slots_[i] =
-      Slot{offset, dense_bytes, CubeEncoding::kDenseRaw, /*bound=*/true};
+  slots_[i] = Slot{offset, dense_bytes, CubeEncoding::kDenseRaw};
   return Status::OK();
-}
-
-Status EncodedCubeBatch::AccumulateSlice(size_t i, const CubeSlice& slice,
-                                         const GroupBySpec& spec,
-                                         uint64_t* acc) const {
-  if (i >= slots_.size() || !slots_[i].bound) {
-    return Status::InvalidArgument("cube batch slot not bound");
-  }
-  const Slot& slot = slots_[i];
-  return AccumulateEncodedSlice(schema_, slot.encoding, arena() +
-                                slot.body_offset, slot.body_bytes, slice,
-                                spec, acc);
-}
-
-Result<DataCube> EncodedCubeBatch::Decode(size_t i) const {
-  if (i >= slots_.size() || !slots_[i].bound) {
-    return Status::InvalidArgument("cube batch slot not bound");
-  }
-  const Slot& slot = slots_[i];
-  return DecodeEncodedCube(schema_, slot.encoding, arena() + slot.body_offset,
-                           slot.body_bytes);
 }
 
 }  // namespace rased

@@ -112,6 +112,10 @@ class EncodedCube {
  public:
   EncodedCube() = default;
 
+  /// Copies an already encoded body (e.g. one slot of an EncodedCubeBatch).
+  EncodedCube(const CubeSchema& schema, CubeEncoding encoding,
+              const unsigned char* body, size_t body_bytes);
+
   /// Encodes `cube` under `policy` (see CubeEncodingPolicy). Total cost is
   /// one density scan plus one candidate build per cube at ingest time.
   static EncodedCube Encode(
@@ -134,15 +138,14 @@ class EncodedCube {
   /// Writes SerializedBytes() bytes (header then body) to `out`.
   void SerializeTo(unsigned char* out) const;
 
-  Status AccumulateSlice(const CubeSlice& slice, const GroupBySpec& spec,
-                         uint64_t* acc) const {
-    return AccumulateEncodedSlice(schema_, encoding_, body(), body_bytes_,
-                                  slice, spec, acc);
-  }
-
   Result<DataCube> Decode() const {
     return DecodeEncodedCube(schema_, encoding_, body(), body_bytes_);
   }
+
+  /// The same cube stored kDenseRaw, so aggregation runs the strided dense
+  /// kernels on it instead of streaming every varint. A dense cube widens
+  /// to a copy of itself.
+  Result<EncodedCube> Widened() const;
 
  private:
   CubeSchema schema_;
@@ -158,8 +161,8 @@ class EncodedCube {
 /// consecutive, so its blob lands contiguous), then binds each slot to its
 /// blob offset, validating the on-page header against the catalog's
 /// recorded encoding and length. Aggregation then streams each body into
-/// the accumulator without any dense materialization; Decode(i) is the
-/// escape hatch for callers that need the cube itself (cache admission).
+/// the accumulator without any dense materialization; Extract(i) copies a
+/// slot out in stored form (cache admission).
 ///
 /// Slot offsets are 8-byte aligned by construction: page payloads are a
 /// multiple of 8 and blobs start on page boundaries.
@@ -188,23 +191,24 @@ class EncodedCubeBatch {
   /// `offset`.
   Status BindLegacyDense(size_t i, size_t offset);
 
+  // Per-slot accessors; every slot must be bound (ReadCubes binds all of
+  // them or fails).
   CubeEncoding encoding(size_t i) const { return slots_[i].encoding; }
+  const unsigned char* body(size_t i) const {
+    return arena() + slots_[i].body_offset;
+  }
   size_t body_bytes(size_t i) const { return slots_[i].body_bytes; }
 
-  /// Streams cube `i` into the packed accumulator (see
-  /// AccumulateEncodedSlice).
-  Status AccumulateSlice(size_t i, const CubeSlice& slice,
-                         const GroupBySpec& spec, uint64_t* acc) const;
-
-  /// Decodes cube `i` to a dense DataCube.
-  Result<DataCube> Decode(size_t i) const;
+  /// Copies cube `i` out in its stored form.
+  EncodedCube Extract(size_t i) const {
+    return EncodedCube(schema_, encoding(i), body(i), body_bytes(i));
+  }
 
  private:
   struct Slot {
     size_t body_offset = 0;
     size_t body_bytes = 0;
     CubeEncoding encoding = CubeEncoding::kDenseRaw;
-    bool bound = false;
   };
 
   CubeSchema schema_;

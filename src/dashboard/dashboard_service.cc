@@ -183,7 +183,7 @@ DashboardService::DashboardService(Rased* rased,
   stats_.cache_resident =
       metrics->GetGauge("rased_cache_resident_cubes", "Cubes resident");
   stats_.cache_resident_bytes = metrics->GetGauge(
-      "rased_cache_resident_bytes", "Encoded bytes resident");
+      "rased_cache_resident_bytes", "Cube body bytes held in the cache");
   stats_.cache_hits =
       metrics->GetCounter("rased_cache_hits_total", "Cube cache hits");
   stats_.cache_misses =

@@ -118,11 +118,10 @@ class DashboardService {
   void HandleReadyz(const HttpRequest& request, HttpResponse* response);
 
   /// The HTTP workers run handlers concurrently against the Rased
-  /// instance directly: its query family is const and internally guarded
-  /// by a reader-writer lock, the index catalog and cube cache are
-  /// internally synchronized, and every query accumulates I/O into its
-  /// own QueryStats. The service itself holds no lock — the days of the
-  /// big rased_mu_ serializing every endpoint are over.
+  /// instance directly: its query family is const and lock-free (each call
+  /// pins a catalog snapshot), the cube cache is internally synchronized,
+  /// and every query accumulates I/O into its own QueryStats. The service
+  /// itself holds no lock.
   Rased* const rased_;
   const DashboardOptions options_;
   RenderContext ctx_;

@@ -83,8 +83,8 @@ class HttpServer {
   /// Binds 127.0.0.1:`port` (0 picks an ephemeral port) and starts
   /// `num_threads` accept workers; each handles one connection at a time,
   /// so handlers run concurrently and must synchronize shared state
-  /// themselves (DashboardService serializes access to its Rased
-  /// instance).
+  /// themselves (DashboardService takes no lock: Rased queries pin their
+  /// own catalog snapshot, and ingest serializes inside Rased).
   Status Start(int port, int num_threads = 4);
 
   /// Stops the accept loop and joins the thread. Safe to call twice.

@@ -64,13 +64,6 @@ std::optional<PageId> CatalogSnapshot::PageOf(const CubeKey& key) const {
   return loc->first_page;
 }
 
-std::optional<uint64_t> CatalogSnapshot::EncodedBytesOf(
-    const CubeKey& key) const {
-  std::optional<CubeLoc> loc = LocOf(key);
-  if (!loc.has_value()) return std::nullopt;
-  return loc->blob_bytes;
-}
-
 std::vector<CubeKey> CatalogSnapshot::ExistingKeys(
     Level level, const DateRange& range) const {
   std::vector<CubeKey> keys;

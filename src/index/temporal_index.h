@@ -130,10 +130,6 @@ class CatalogSnapshot {
   /// lands on a different first page, so stale entries never match.
   std::optional<PageId> PageOf(const CubeKey& key) const;
 
-  /// Exact serialized length of `key`'s cube (what a byte-budgeted cache
-  /// charges for it), if present.
-  std::optional<uint64_t> EncodedBytesOf(const CubeKey& key) const;
-
   /// Keys of `level` fully inside `range` that exist in this version.
   std::vector<CubeKey> ExistingKeys(Level level, const DateRange& range) const;
 

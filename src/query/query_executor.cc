@@ -141,10 +141,10 @@ Result<QueryResult> QueryExecutor::Execute(
   // adjacent cube pages coalesce into single device operations. Cache
   // hits are shared_ptrs, so each cube stays alive even if a concurrent
   // eviction drops it mid-aggregation; misses live in the batch's own
-  // storage and are aggregated zero-copy. The batch read charges this
-  // query's IoStats (result.stats.io), so concurrent queries account
-  // their I/O independently and deterministically.
-  std::vector<std::shared_ptr<const DataCube>> hits(n);
+  // storage. The batch read charges this query's IoStats
+  // (result.stats.io), so concurrent queries account their I/O
+  // independently and deterministically.
+  std::vector<std::shared_ptr<const EncodedCube>> hits(n);
   std::vector<CubeKey> miss_keys;
   std::vector<PageId> miss_pages;
   for (size_t i = 0; i < n; ++i) {
@@ -174,31 +174,21 @@ Result<QueryResult> QueryExecutor::Execute(
     }
     fetched = std::move(batch).value();
     if (cache_ != nullptr && cache_->AdmitsOnQuery()) {
-      // LRU only: decode a dense copy out of the batch and move it in —
-      // the one materialization cache residency requires, and no more.
-      // The source page rides along for later page-validated probes, and
-      // the catalog's encoded length is what the byte budget charges.
+      // LRU only: copy each stored body out of the batch, with the page it
+      // came from for later page-validated probes.
       for (size_t j = 0; j < miss_keys.size(); ++j) {
-        auto cube = fetched.Decode(j);
-        if (!cube.ok()) {
-          if (metrics_.errors != nullptr) metrics_.errors->Increment();
-          return cube.status();
-        }
-        uint64_t bytes = snapshot.EncodedBytesOf(miss_keys[j])
-                             .value_or(index_->options().schema.cube_bytes());
-        cache_->Insert(miss_keys[j], miss_pages[j], bytes,
-                       std::move(cube).value());
+        cache_->Insert(miss_keys[j], miss_pages[j], fetched.Extract(j));
       }
     }
   }
   const int64_t t_fetched = NowMicros();
 
-  // ---- Phase 2: aggregate. A flat dense accumulator indexed by the
-  // packed grouped coordinates replaces the former per-cell map: cubes
-  // fold in through the strided SumSliceInto kernel, and rows are read
-  // back out of non-zero slots. Packed slot order is row-major over the
-  // grouped dimensions in schema order, which is exactly the row order
-  // the old tuple-keyed std::map produced, so output order is unchanged.
+  // ---- Phase 2: aggregate. Every cube, hit or miss, folds through the
+  // codec into a flat dense accumulator indexed by the packed grouped
+  // coordinates (dense bodies through the strided SumSliceInto kernel,
+  // sparse and delta bodies streamed), and rows are read back out of
+  // non-zero slots. Packed slot order is row-major over the grouped
+  // dimensions in schema order, which is the dashboard's row order.
   const CubeSchema& schema = index_->options().schema;
   GroupBySpec spec;
   spec.element_type = query.group_element_type;
@@ -235,18 +225,16 @@ Result<QueryResult> QueryExecutor::Execute(
 
   size_t next_miss = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (hits[i] != nullptr) {
-      // Cache hits are decoded cubes: the dense strided kernel applies.
-      hits[i]->View().SumSliceInto(slice, spec, acc.data());
-    } else {
-      // Misses stream their encoded bodies straight into the accumulator —
-      // sparse cubes never materialize a dense image on the hot path.
-      Status st =
-          fetched.AccumulateSlice(next_miss++, slice, spec, acc.data());
-      if (!st.ok()) {
-        if (metrics_.errors != nullptr) metrics_.errors->Increment();
-        return st;
-      }
+    const EncodedCube* hit = hits[i].get();
+    const size_t miss = hit != nullptr ? 0 : next_miss++;
+    Status st = AccumulateEncodedSlice(
+        schema, hit != nullptr ? hit->encoding() : fetched.encoding(miss),
+        hit != nullptr ? hit->body() : fetched.body(miss),
+        hit != nullptr ? hit->body_bytes() : fetched.body_bytes(miss), slice,
+        spec, acc.data());
+    if (!st.ok()) {
+      if (metrics_.errors != nullptr) metrics_.errors->Increment();
+      return st;
     }
     if (query.group_date) {
       int32_t date_key = plan.cubes[i].range().first.days_since_epoch();

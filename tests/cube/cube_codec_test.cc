@@ -217,6 +217,11 @@ TEST(CubeCodecTest, AccumulateSliceMatchesDenseKernel) {
   for (double density : kDensities) {
     DataCube cube = RandomCube(schema, density, 1000 + rng.Uniform(1 << 20));
     EncodedCube encoded = EncodedCube::Encode(cube);
+    // The widened (dense) form must aggregate identically.
+    auto widened = encoded.Widened();
+    ASSERT_TRUE(widened.ok()) << widened.status().ToString();
+    ASSERT_EQ(widened.value().encoding(), CubeEncoding::kDenseRaw);
+    EXPECT_EQ(widened.value().Decode().value(), cube);
     for (int trial = 0; trial < 8; ++trial) {
       CubeSlice slice;
       if (rng.Bernoulli(0.5)) slice.countries = {0, 3, 5};
@@ -232,10 +237,15 @@ TEST(CubeCodecTest, AccumulateSliceMatchesDenseKernel) {
       const size_t slots = GroupAccumulatorSize(schema, spec);
       std::vector<uint64_t> want(slots, 0);
       cube.SumSliceInto(slice, spec, want.data());
-      std::vector<uint64_t> got(slots, 0);
-      ASSERT_TRUE(encoded.AccumulateSlice(slice, spec, got.data()).ok());
-      EXPECT_EQ(got, want) << CubeEncodingName(encoded.encoding())
-                           << " density=" << density << " trial=" << trial;
+      for (const EncodedCube* form : {&encoded, &widened.value()}) {
+        std::vector<uint64_t> got(slots, 0);
+        ASSERT_TRUE(AccumulateEncodedSlice(schema, form->encoding(),
+                                           form->body(), form->body_bytes(),
+                                           slice, spec, got.data())
+                        .ok());
+        EXPECT_EQ(got, want) << CubeEncodingName(form->encoding())
+                             << " density=" << density << " trial=" << trial;
+      }
     }
   }
 }
@@ -257,7 +267,7 @@ TEST(CubeCodecTest, BatchBindRejectsCatalogMismatch) {
   // The matching bind succeeds and decodes.
   ASSERT_TRUE(batch.BindEncoded(0, 0, blob_bytes, encoded.encoding()).ok());
   EXPECT_EQ(batch.encoding(0), encoded.encoding());
-  auto decoded = batch.Decode(0);
+  auto decoded = batch.Extract(0).Decode();
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value(), encoded.Decode().value());
 }
@@ -269,7 +279,7 @@ TEST(CubeCodecTest, BatchLegacyDenseBindReadsRawImage) {
   cube.SerializeTo(batch.arena());
   ASSERT_TRUE(batch.BindLegacyDense(0, 0).ok());
   EXPECT_EQ(batch.encoding(0), CubeEncoding::kDenseRaw);
-  auto decoded = batch.Decode(0);
+  auto decoded = batch.Extract(0).Decode();
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value(), cube);
 }

@@ -191,17 +191,20 @@ TEST_F(ConcurrentQueriesTest, CubeCacheParallelFindInsertInvalidate) {
       for (int i = 0; i < 200; ++i) {
         Date day = Date::FromYmd(2021, 1, 1 + (t + i) % kDays);
         CubeKey key = CubeKey::Daily(day);
-        std::shared_ptr<const DataCube> hit = cache.Find(key);
+        const PageId page = static_cast<PageId>(day.day());
+        std::shared_ptr<const EncodedCube> hit = cache.Find(key, page);
         if (hit != nullptr) {
           // The cube must stay readable even if another thread evicts it
           // right now.
-          if (hit->Total() != static_cast<uint64_t>(day.day())) {
+          auto cube = hit->Decode();
+          if (!cube.ok() ||
+              cube.value().Total() != static_cast<uint64_t>(day.day())) {
             failed.store(true);
           }
         } else {
           DataCube cube(schema);
           cube.Add(0, 0, 0, 0, static_cast<uint64_t>(day.day()));
-          cache.Insert(key, cube);
+          cache.Insert(key, page, EncodedCube::Encode(cube));
         }
         if (i % 64 == 0) {
           cache.InvalidateRange(

@@ -137,7 +137,7 @@ TEST_F(LegacyFormatTest, BatchedReadSpansLegacyCubes) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(batch.value().encoding(static_cast<size_t>(i)),
               CubeEncoding::kDenseRaw);
-    auto cube = batch.value().Decode(static_cast<size_t>(i));
+    auto cube = batch.value().Extract(static_cast<size_t>(i)).Decode();
     ASSERT_TRUE(cube.ok()) << cube.status().ToString();
     EXPECT_EQ(cube.value(), DayCube(TinySchema(), i + 1));
   }

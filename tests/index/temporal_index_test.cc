@@ -364,10 +364,10 @@ TEST_F(TemporalIndexTest, ReadCubesReturnsBatchInKeyOrder) {
   auto batch = index.value()->ReadCubes(keys, &io);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   ASSERT_EQ(batch.value().size(), keys.size());
-  EXPECT_EQ(batch.value().Decode(0).value().Total(), 5u);
-  EXPECT_EQ(batch.value().Decode(1).value().Total(), 1u);
-  EXPECT_EQ(batch.value().Decode(2).value().Total(), 6u);
-  EXPECT_EQ(batch.value().Decode(3).value().Total(), 7u);
+  EXPECT_EQ(batch.value().Extract(0).Decode().value().Total(), 5u);
+  EXPECT_EQ(batch.value().Extract(1).Decode().value().Total(), 1u);
+  EXPECT_EQ(batch.value().Extract(2).Decode().value().Total(), 6u);
+  EXPECT_EQ(batch.value().Extract(3).Decode().value().Total(), 7u);
 
   // Transfers match the serial path; days 4,5,6 sit on adjacent pages so
   // coalescing shows fewer device ops than pages.
@@ -399,7 +399,7 @@ TEST_F(TemporalIndexTest, ReadCubesMatchesSerialReadCube) {
   for (size_t i = 0; i < keys.size(); ++i) {
     auto serial = index.value()->ReadCube(keys[i]);
     ASSERT_TRUE(serial.ok());
-    auto decoded = batch.value().Decode(i);
+    auto decoded = batch.value().Extract(i).Decode();
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded.value(), serial.value()) << i;
   }

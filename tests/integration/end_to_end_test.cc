@@ -170,6 +170,69 @@ TEST_F(EndToEndTest, MonthlyRebuildInvalidatesWarmCache) {
   EXPECT_EQ(result.value().rows.size(), 4u);
 }
 
+TEST_F(EndToEndTest, PagerStatsKeepCountingThroughMonthlyRewarm) {
+  // Pager::stats() is the index's lifetime I/O total: the re-warm after a
+  // monthly rebuild must not reset it underneath the queries it covers.
+  RasedOptions options;
+  options.dir = env::JoinPath(dir_.path(), "pager-stats");
+  options.schema = CubeSchema::BenchScale();
+  options.enable_warehouse = false;
+  auto rased = Rased::Create(options);
+  ASSERT_TRUE(rased.ok());
+
+  SynthOptions synth;
+  synth.seed = 37;
+  synth.base_updates_per_day = 40.0;
+  Date month = Date::FromYmd(2021, 9, 1);
+  synth.period = DateRange(month, month.month_end());
+  UpdateGenerator gen(synth, &rased.value()->world(),
+                      rased.value()->road_types());
+  for (Date d = month; d <= month.month_end(); d = d.next()) {
+    DayArtifacts files = gen.GenerateDayArtifacts(d);
+    ASSERT_TRUE(rased.value()
+                    ->IngestDailyArtifacts(d, files.osc_xml,
+                                           files.changesets_xml)
+                    .ok());
+  }
+  // The generator borrows this instance's world map: draw the month's
+  // full history before closing it.
+  MonthArtifacts monthly = gen.GenerateMonthArtifacts(month);
+  ASSERT_TRUE(rased.value()->Sync().ok());
+  const uint64_t encoded =
+      rased.value()->index()->StorageStats().encoded_bytes;
+  rased.value().reset();
+
+  // Reopen with a cache holding only part of the month, so the per-day
+  // queries below read from disk both before and after the re-warm.
+  options.cache.byte_budget = encoded / 4;
+  auto reopened = Rased::Open(options);
+  ASSERT_TRUE(reopened.ok());
+  Rased* r = reopened.value().get();
+  ASSERT_TRUE(r->WarmCache().ok());
+  ASSERT_GT(r->cache()->stats().preloaded, 0u);
+  r->index()->pager()->ResetStats();
+
+  uint64_t query_page_reads = 0;
+  auto run_queries = [&] {
+    for (Date d = month; d <= month.AddDays(9); d = d.next()) {
+      AnalysisQuery q;
+      q.range = DateRange(d, d);
+      q.group_update_type = true;
+      auto result = r->Query(q);
+      ASSERT_TRUE(result.ok());
+      query_page_reads += result.value().stats.io.page_reads;
+    }
+  };
+  run_queries();
+  ASSERT_TRUE(
+      r->ApplyMonthlyArtifacts(month, monthly.history_xml,
+                               monthly.changesets_xml)
+          .ok());
+  run_queries();
+  ASSERT_GT(query_page_reads, 0u);
+  EXPECT_GE(r->index()->pager()->stats().page_reads, query_page_reads);
+}
+
 TEST_F(EndToEndTest, RasedAndBaselineDbmsAgree) {
   // The Figure 10 comparison is only meaningful because both systems
   // compute the same answers; verify that here.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/cube_cache.h"
+#include "cube/agg_kernels.h"
 #include "geo/world_map.h"
 #include "index/temporal_index.h"
 #include "io/env.h"
@@ -115,10 +116,64 @@ class HotpathIndexTest : public ::testing::Test {
     index_ = std::move(index).value();
     Rng rng(77);
     for (int i = 0; i < kDays; ++i) {
-      ASSERT_TRUE(
-          index_->AppendDay(first_.AddDays(i), RandomCube(schema_, &rng))
-              .ok());
+      // Every fourth day is quiet enough to store sparse; the rest store
+      // delta-varint, as do the rollups.
+      ASSERT_TRUE(index_
+                      ->AppendDay(first_.AddDays(i),
+                                  RandomCube(schema_, &rng,
+                                             i % 4 == 0 ? 20 : 200))
+                      .ok());
     }
+  }
+
+  // A twin of index_ over the same days, stored under `encoding`.
+  std::unique_ptr<TemporalIndex> BuildTwin(CubeEncodingPolicy encoding) {
+    TemporalIndexOptions options = index_->options();
+    options.dir = env::JoinPath(dir_.path(), "twin");
+    options.encoding = encoding;
+    auto twin = TemporalIndex::Create(options);
+    EXPECT_TRUE(twin.ok()) << twin.status().ToString();
+    for (int i = 0; i < kDays; ++i) {
+      auto cube = index_->ReadCube(CubeKey::Daily(first_.AddDays(i)));
+      EXPECT_TRUE(cube.ok());
+      EXPECT_TRUE(
+          twin.value()->AppendDay(first_.AddDays(i), cube.value()).ok());
+    }
+    return std::move(twin).value();
+  }
+
+  // A random dashboard query over the fixture's days: random window,
+  // filters (duplicates included) and group-bys.
+  AnalysisQuery RandomQuery(const WorldMap& world, Rng* rng) const {
+    AnalysisQuery q;
+    int start = static_cast<int>(rng->Uniform(kDays));
+    int len = 1 + static_cast<int>(
+                      rng->Uniform(static_cast<uint64_t>(kDays - start)));
+    q.range = DateRange(first_.AddDays(start), first_.AddDays(start + len - 1));
+    if (rng->Bernoulli(0.4)) {
+      q.element_types = {static_cast<ElementType>(rng->Uniform(3))};
+    }
+    if (rng->Bernoulli(0.4)) {
+      const auto& countries = world.country_ids();
+      q.countries = {countries[rng->Uniform(countries.size())]};
+      if (rng->Bernoulli(0.4)) {
+        q.countries.push_back(countries[rng->Uniform(countries.size())]);
+      }
+      if (rng->Bernoulli(0.3)) q.countries.push_back(q.countries[0]);  // dup
+    }
+    if (rng->Bernoulli(0.3)) {
+      q.road_types = {
+          static_cast<RoadTypeId>(rng->Uniform(schema_.num_road_types))};
+    }
+    if (rng->Bernoulli(0.4)) {
+      q.update_types = {static_cast<UpdateType>(rng->Uniform(4))};
+    }
+    q.group_element_type = rng->Bernoulli(0.4);
+    q.group_date = rng->Bernoulli(0.25);
+    q.group_country = rng->Bernoulli(0.4);
+    q.group_road_type = rng->Bernoulli(0.3);
+    q.group_update_type = rng->Bernoulli(0.4);
+    return q;
   }
 
   CubeSchema schema_{3, 16, 8, 4};
@@ -156,7 +211,7 @@ TEST_F(HotpathIndexTest, BatchedReadCubesMatchesSerialBitForBit) {
       auto serial = index_->ReadCube(keys[i], &serial_io);
       ASSERT_TRUE(serial.ok());
       // Identical cube content after decoding the batch slot.
-      auto decoded = batch.value().Decode(i);
+      auto decoded = batch.value().Extract(i).Decode();
       ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
       ASSERT_EQ(decoded.value(), serial.value())
           << "trial " << trial << " cube " << i;
@@ -228,34 +283,7 @@ TEST_F(HotpathIndexTest, ExecutorMatchesNaiveReferenceOnRandomQueries) {
   QueryExecutor executor(index_.get(), nullptr, &world);
   Rng rng(47);
   for (int trial = 0; trial < 40; ++trial) {
-    AnalysisQuery q;
-    int start = static_cast<int>(rng.Uniform(kDays));
-    int len = 1 + static_cast<int>(
-                      rng.Uniform(static_cast<uint64_t>(kDays - start)));
-    q.range = DateRange(first_.AddDays(start), first_.AddDays(start + len - 1));
-    if (rng.Bernoulli(0.4)) {
-      q.element_types = {static_cast<ElementType>(rng.Uniform(3))};
-    }
-    if (rng.Bernoulli(0.4)) {
-      const auto& countries = world.country_ids();
-      q.countries = {countries[rng.Uniform(countries.size())]};
-      if (rng.Bernoulli(0.4)) {
-        q.countries.push_back(countries[rng.Uniform(countries.size())]);
-      }
-      if (rng.Bernoulli(0.3)) q.countries.push_back(q.countries[0]);  // dup
-    }
-    if (rng.Bernoulli(0.3)) {
-      q.road_types = {
-          static_cast<RoadTypeId>(rng.Uniform(schema_.num_road_types))};
-    }
-    if (rng.Bernoulli(0.4)) {
-      q.update_types = {static_cast<UpdateType>(rng.Uniform(4))};
-    }
-    q.group_element_type = rng.Bernoulli(0.4);
-    q.group_date = rng.Bernoulli(0.25);
-    q.group_country = rng.Bernoulli(0.4);
-    q.group_road_type = rng.Bernoulli(0.3);
-    q.group_update_type = rng.Bernoulli(0.4);
+    AnalysisQuery q = RandomQuery(world, &rng);
 
     auto result = executor.Execute(q);
     ASSERT_TRUE(result.ok()) << q.ToString();
@@ -346,6 +374,100 @@ TEST_F(HotpathIndexTest, ConcurrentQueriesReproduceSerialAccounting) {
     EXPECT_EQ(concurrent[i].stats.cubes_from_disk,
               serial[i].stats.cubes_from_disk);
   }
+}
+
+bool RowsIdentical(const std::vector<ResultRow>& a,
+                   const std::vector<ResultRow>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].element_type != b[i].element_type ||
+        a[i].has_date != b[i].has_date ||
+        (a[i].has_date && !(a[i].date == b[i].date)) ||
+        a[i].country != b[i].country || a[i].road_type != b[i].road_type ||
+        a[i].update_type != b[i].update_type || a[i].count != b[i].count) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// What the cache holds must never show in an answer. Rows are compared
+// across four cache states — all hits from widened (dense) entries, all
+// hits from entries in stored form, no cache, and LRU-admitted entries —
+// on adaptive and forced-dense indexes of the same days, through the
+// scalar and the default (AVX2 where available) kernels.
+TEST_F(HotpathIndexTest, CacheStatesAnswerBitForBit) {
+  WorldMap world(schema_.num_countries);
+  std::unique_ptr<TemporalIndex> dense =
+      BuildTwin(CubeEncodingPolicy::kForceDense);
+  Rng rng(91);
+  std::vector<AnalysisQuery> queries;
+  for (int i = 0; i < 30; ++i) queries.push_back(RandomQuery(world, &rng));
+
+  std::vector<std::vector<ResultRow>> reference;
+  for (bool scalar : {false, true}) {
+    kernels::ForceScalarKernelsForTesting(scalar);
+    for (TemporalIndex* index : {index_.get(), dense.get()}) {
+      const IndexStorageStats storage = index->StorageStats();
+      CacheOptions widened;  // room for everything, every delta widened
+      widened.byte_budget = uint64_t{1} << 40;
+      // Exactly the stored index: every level's share covers the whole
+      // budget, so the selection is every cube and nothing can widen.
+      CacheOptions stored;
+      stored.byte_budget = storage.encoded_bytes;
+      stored.alpha = stored.beta = stored.gamma = stored.theta = 1.0;
+      CacheOptions lru;
+      lru.policy = CachePolicy::kLru;
+      lru.byte_budget = uint64_t{1} << 40;
+      CubeCache widened_cache(widened);
+      CubeCache stored_cache(stored);
+      CubeCache lru_cache(lru);
+      ASSERT_TRUE(widened_cache.Warm(index).ok());
+      ASSERT_TRUE(stored_cache.Warm(index).ok());
+      ASSERT_EQ(widened_cache.size(), storage.total_cubes);
+      ASSERT_EQ(stored_cache.size(), storage.total_cubes);
+      EXPECT_EQ(stored_cache.bytes_used(), storage.encoded_bytes);
+      if (index == index_.get()) {
+        // The adaptive index really does hold sparse and delta forms.
+        CatalogSnapshot snapshot = index->Snapshot();
+        int sparse = 0, delta = 0;
+        for (const CubeKey& key : snapshot.LatestKeys(Level::kDaily, kDays)) {
+          CubeEncoding encoding = snapshot.LocOf(key)->encoding;
+          sparse += encoding == CubeEncoding::kSparseCoo ? 1 : 0;
+          delta += encoding == CubeEncoding::kDeltaVarint ? 1 : 0;
+        }
+        EXPECT_GT(sparse, 0);
+        EXPECT_GT(delta, 0);
+        EXPECT_LT(stored_cache.bytes_used(), widened_cache.bytes_used());
+      }
+
+      QueryExecutor no_cache(index, nullptr, &world);
+      QueryExecutor on_widened(index, &widened_cache, &world);
+      QueryExecutor on_stored(index, &stored_cache, &world);
+      QueryExecutor on_lru(index, &lru_cache, &world);
+      for (const AnalysisQuery& q : queries) {
+        ASSERT_TRUE(on_lru.Execute(q).ok());  // admits every planned cube
+      }
+      for (size_t i = 0; i < queries.size(); ++i) {
+        for (const QueryExecutor* executor :
+             {&no_cache, &on_widened, &on_stored, &on_lru}) {
+          auto result = executor->Execute(queries[i]);
+          ASSERT_TRUE(result.ok()) << queries[i].ToString();
+          const QueryStats& stats = result.value().stats;
+          if (executor != &no_cache) {
+            EXPECT_EQ(stats.cubes_from_cache, stats.cubes_total);
+          }
+          if (reference.size() <= i) {
+            reference.push_back(result.value().rows);
+          } else {
+            EXPECT_TRUE(RowsIdentical(result.value().rows, reference[i]))
+                << queries[i].ToString() << " scalar=" << scalar;
+          }
+        }
+      }
+    }
+  }
+  kernels::ForceScalarKernelsForTesting(false);
 }
 
 }  // namespace
